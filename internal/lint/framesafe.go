@@ -9,13 +9,16 @@ import (
 )
 
 // framesafePackages hold the decoders of the framed binary formats: the FPS1
-// stream frames (internal/api), the FPL1 update log, FPG1 graph log and the
-// disk-index record format (internal/ppvindex), and the FPQ1 query log
-// (internal/querylog). Their shared contract: corrupt, torn or truncated
-// input must surface as a structured error (ErrBadFrame / ErrBadIndexFormat /
-// ErrBadFormat), never as a panic or an over-read.
+// stream frames (internal/api), the shared log frame and header core
+// (internal/framelog), the FPL1 update-log and FPG1 graph-log payloads and
+// the disk-index record format (internal/ppvindex), and the FPQ1 query-log
+// records (internal/querylog). Their shared contract: corrupt, torn or
+// truncated input must surface as a structured error (ErrBadFrame /
+// ErrBadIndexFormat / ErrBadFormat) or a torn-tail stop, never as a panic or
+// an over-read.
 var framesafePackages = []string{
 	"internal/api",
+	"internal/framelog",
 	"internal/ppvindex",
 	"internal/querylog",
 }

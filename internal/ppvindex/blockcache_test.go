@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fastppv/internal/graph"
 	"fastppv/internal/sparse"
@@ -144,8 +145,17 @@ func TestBlockCacheSingleflight(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Wait until the one permitted load is in flight, then release it.
-	for inner.gets.Load() == 0 {
+	// Hold the one permitted load until every other caller has joined it as
+	// a coalesced waiter; releasing it earlier would let late callers hit the
+	// freshly filled cache instead.
+	deadline := time.Now().Add(10 * time.Second)
+	for bc.Stats().Coalesced < callers-1 {
+		if time.Now().After(deadline) {
+			close(inner.gate)
+			wg.Wait()
+			t.Fatalf("stats = %+v, waiters never coalesced", bc.Stats())
+		}
+		time.Sleep(time.Millisecond)
 	}
 	close(inner.gate)
 	wg.Wait()
@@ -154,8 +164,8 @@ func TestBlockCacheSingleflight(t *testing.T) {
 		t.Errorf("inner reads = %d, want 1 (singleflight)", got)
 	}
 	st := bc.Stats()
-	if st.Coalesced == 0 {
-		t.Errorf("stats = %+v, expected coalesced waiters", st)
+	if st.Coalesced != callers-1 {
+		t.Errorf("stats = %+v, want %d coalesced waiters", st, callers-1)
 	}
 	for i := 1; i < callers; i++ {
 		if results[i].Get(9) != results[0].Get(9) {

@@ -5,31 +5,29 @@
 // (frequency-decayed top sources → their hub dependencies), and cmd/ppvlog
 // aggregates or replays it offline.
 //
-// The on-disk format follows the same torn-tail-truncating, header-bound
-// idiom as the PPV write-ahead update log and the graph-mutation log: a small
-// magic+version header followed by CRC-framed records. A crash can only tear
-// the tail, which Open truncates away; a foreign or incompatible file is
-// rejected rather than silently overwritten. Appends go through a buffered
-// writer with batched fsync (a background flusher), so the per-query cost on
-// the serving hot path is one short critical section and a small memcpy.
+// The file is a framelog, like the PPV write-ahead update log and the
+// graph-mutation log: a 16-byte header (magic 'F','P','Q','1', version 1, 8
+// reserved bytes that are written as zeros and ignored on read) followed by
+// CRC-framed records. A crash can only tear the tail, which Open truncates
+// away; a foreign or incompatible file is rejected rather than silently
+// overwritten. Appends go through a buffered writer with batched fsync (a
+// background flusher), so the per-query cost on the serving hot path is one
+// short critical section and a small memcpy.
 // Rotation by size keeps the log bounded: the active file is renamed to
 // <path>.1 (replacing the previous generation) and a fresh header started, so
 // replay sees at most two generations, oldest first.
 package querylog
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"sort"
 	"sync"
 	"time"
 
+	"fastppv/internal/framelog"
 	"fastppv/internal/graph"
 )
 
@@ -113,13 +111,8 @@ const (
 	logVersion = 1
 	// headerBytes is magic + version + reserved.
 	headerBytes = 16
-	// frameOverhead is payloadLen + crc.
-	frameOverhead = 8
 	// recordFixedBytes is the fixed-width prefix of an encoded record.
 	recordFixedBytes = 32
-	// maxRecordBytes bounds one frame payload; anything larger during replay
-	// is treated as a torn/corrupt tail.
-	maxRecordBytes = 64 << 10
 
 	defaultMaxBytes      = 64 << 20
 	defaultFlushInterval = 100 * time.Millisecond
@@ -138,6 +131,13 @@ type Options struct {
 	// records: a query HalfLife records old counts half as much as a fresh
 	// one. Zero means 8192.
 	HalfLife int
+}
+
+// format is the FPQ1 header. Its binding is all reserved bytes: nil Bound
+// accepts whatever a file holds there.
+var format = framelog.Format{
+	Name: "query log", Magic: logMagic, Version: logVersion,
+	Binding: make([]byte, headerBytes-8), ErrBadFormat: ErrBadFormat,
 }
 
 func (o Options) withDefaults() Options {
@@ -172,16 +172,13 @@ type Stats struct {
 // Log is an append-only query log. It is safe for concurrent use.
 type Log struct {
 	mu        sync.Mutex
-	f         *os.File
-	w         *bufio.Writer
+	fl        *framelog.Log // the active generation
 	path      string
 	opts      Options
-	size      int64
 	replayed  int64
 	appended  int64
 	rotations int64
 	truncated int64
-	dirty     bool
 	closed    bool
 	err       error // sticky write/rotate error
 
@@ -207,36 +204,24 @@ func Open(path string, opts Options, replay func(Record) error) (*Log, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	feed := func(r Record) error {
+	feed := decodeTo(func(r Record) error {
 		l.agg.Add(r.Source)
 		l.replayed++
 		if replay != nil {
 			return replay(r)
 		}
 		return nil
-	}
-	// Previous generation: read-only, tolerate a torn tail (it was the
-	// active file once; stop at the tear).
-	if prev, err := os.Open(path + ".1"); err == nil {
-		_, _, rerr := scanLog(prev, feed)
-		prev.Close()
-		if rerr != nil {
-			return nil, rerr
-		}
-	} else if !os.IsNotExist(err) {
+	})
+	// The previous generation is read-only: it was the active file once, so
+	// it may end in a torn tail, where the scan stops.
+	if _, err := framelog.Scan(path+".1", format, feed); err != nil {
 		return nil, err
 	}
-
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	fl, err := framelog.Open(path, format, feed)
 	if err != nil {
 		return nil, err
 	}
-	if err := l.recover(f, feed); err != nil {
-		f.Close()
-		return nil, err
-	}
-	l.f = f
-	l.w = bufio.NewWriterSize(f, 1<<16)
+	l.fl, l.truncated = fl, fl.Truncated()
 	if opts.FlushInterval > 0 {
 		go l.flushLoop()
 	} else {
@@ -245,107 +230,18 @@ func Open(path string, opts Options, replay func(Record) error) (*Log, error) {
 	return l, nil
 }
 
-// recover validates the header (writing a fresh one into an empty or
-// sub-header file), replays intact frames, and truncates the torn tail so
-// appends resume at the last valid record.
-func (l *Log) recover(f *os.File, feed func(Record) error) error {
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	if st.Size() < headerBytes {
-		// Empty or torn before the header finished: start fresh.
-		if err := f.Truncate(0); err != nil {
-			return err
-		}
-		if err := writeHeader(f); err != nil {
-			return err
-		}
-		l.size = headerBytes
-		return f.Sync()
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	valid, _, err := scanLog(f, feed)
-	if err != nil {
-		return err
-	}
-	if valid < st.Size() {
-		l.truncated = st.Size() - valid
-		if err := f.Truncate(valid); err != nil {
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			return err
-		}
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		return err
-	}
-	l.size = valid
-	return nil
-}
-
-func writeHeader(w io.Writer) error {
-	var hdr [headerBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], logMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], logVersion)
-	_, err := w.Write(hdr[:])
-	return err
-}
-
-// scanLog reads a header + frames from r, feeding decoded records to fn, and
-// returns the byte offset after the last intact frame. A short, CRC-bad or
-// undecodable frame ends the scan (torn tail) without error; a foreign or
-// version-mismatched header is ErrBadFormat.
-func scanLog(r io.Reader, fn func(Record) error) (valid int64, records int64, err error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, 0, nil // sub-header tail; caller rewrites
-		}
-		return 0, 0, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != logMagic {
-		return 0, 0, fmt.Errorf("%w: magic %x", ErrBadFormat, hdr[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != logVersion {
-		return 0, 0, fmt.Errorf("%w: version %d", ErrBadFormat, v)
-	}
-	valid = headerBytes
-	var fh [frameOverhead]byte
-	payload := make([]byte, 0, 256)
-	for {
-		if _, err := io.ReadFull(br, fh[:]); err != nil {
-			return valid, records, nil
-		}
-		n := binary.LittleEndian.Uint32(fh[0:4])
-		if n == 0 || n > maxRecordBytes {
-			return valid, records, nil
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return valid, records, nil
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(fh[4:8]) {
-			return valid, records, nil
-		}
-		rec, ok := decodeRecord(payload)
+// decodeTo adapts a record callback (nil allowed) to a framelog payload
+// callback; payloads the record codec rejects end the scan as a torn tail.
+func decodeTo(fn func(Record) error) func([]byte) error {
+	return func(payload []byte) error {
+		r, ok := decodeRecord(payload)
 		if !ok {
-			return valid, records, nil
+			return framelog.ErrBadPayload
 		}
-		if fn != nil {
-			if err := fn(rec); err != nil {
-				return valid, records, err
-			}
+		if fn == nil {
+			return nil
 		}
-		valid += int64(frameOverhead) + int64(n)
-		records++
+		return fn(r)
 	}
 }
 
@@ -434,75 +330,46 @@ func (l *Log) Append(r Record) error {
 	if l.err != nil {
 		return l.err
 	}
-	l.encBuf = l.encBuf[:0]
-	l.encBuf = encodeRecord(l.encBuf, r)
-	frameLen := int64(frameOverhead + len(l.encBuf))
-	if l.opts.MaxBytes > 0 && l.size+frameLen > l.opts.MaxBytes && l.size > headerBytes {
+	l.encBuf = encodeRecord(l.encBuf[:0], r)
+	size := l.fl.SizeBytes()
+	if l.opts.MaxBytes > 0 && size+int64(framelog.FrameOverhead+len(l.encBuf)) > l.opts.MaxBytes && size > headerBytes {
 		if err := l.rotateLocked(); err != nil {
 			l.err = err
 			return err
 		}
 	}
-	var fh [frameOverhead]byte
-	binary.LittleEndian.PutUint32(fh[0:4], uint32(len(l.encBuf)))
-	binary.LittleEndian.PutUint32(fh[4:8], crc32.ChecksumIEEE(l.encBuf))
-	if _, err := l.w.Write(fh[:]); err != nil {
+	if err := l.fl.Append(l.encBuf); err != nil {
 		l.err = err
 		return err
 	}
-	if _, err := l.w.Write(l.encBuf); err != nil {
-		l.err = err
-		return err
-	}
-	l.size += frameLen
 	l.appended++
-	l.dirty = true
 	l.agg.Add(r.Source)
 	if l.opts.FlushInterval < 0 {
-		return l.syncLocked()
+		return l.fl.Commit()
 	}
 	return nil
 }
 
-// rotateLocked flushes the active generation, renames it to <path>.1
-// (replacing the previous generation) and starts a fresh header.
+// rotateLocked commits and closes the active generation, renames it to
+// <path>.1 (replacing the previous generation) and starts a fresh one.
 func (l *Log) rotateLocked() error {
-	if err := l.syncLocked(); err != nil {
+	if err := l.fl.Commit(); err != nil {
 		return err
 	}
-	if err := l.f.Close(); err != nil {
+	if err := l.fl.Close(); err != nil {
 		return err
 	}
 	if err := os.Rename(l.path, l.path+".1"); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(l.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	// Creating the fresh generation fsyncs the directory, which makes the
+	// rename durable together with the new file.
+	fl, err := framelog.Open(l.path, format, nil)
 	if err != nil {
 		return err
 	}
-	if err := writeHeader(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	l.f = f
-	l.w = bufio.NewWriterSize(f, 1<<16)
-	l.size = headerBytes
+	l.fl = fl
 	l.rotations++
-	return nil
-}
-
-func (l *Log) syncLocked() error {
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	l.dirty = false
 	return nil
 }
 
@@ -516,7 +383,7 @@ func (l *Log) Sync() error {
 	if l.err != nil {
 		return l.err
 	}
-	return l.syncLocked()
+	return l.fl.Commit()
 }
 
 func (l *Log) flushLoop() {
@@ -529,8 +396,8 @@ func (l *Log) flushLoop() {
 			return
 		case <-t.C:
 			l.mu.Lock()
-			if !l.closed && l.err == nil && l.dirty {
-				if err := l.syncLocked(); err != nil {
+			if !l.closed && l.err == nil && l.fl.Uncommitted() {
+				if err := l.fl.Commit(); err != nil {
 					l.err = err
 				}
 			}
@@ -550,9 +417,9 @@ func (l *Log) Close() error {
 	l.closed = true
 	var err error
 	if l.err == nil {
-		err = l.syncLocked()
+		err = l.fl.Commit()
 	}
-	cerr := l.f.Close()
+	cerr := l.fl.Close()
 	if err == nil {
 		err = cerr
 	}
@@ -569,7 +436,7 @@ func (l *Log) Stats() Stats {
 	return Stats{
 		Replayed:       l.replayed,
 		Appended:       l.appended,
-		ActiveBytes:    l.size,
+		ActiveBytes:    l.fl.SizeBytes(),
 		Rotations:      l.rotations,
 		TruncatedBytes: l.truncated,
 	}
@@ -598,20 +465,7 @@ func (l *Log) TopSources(k int) []graph.NodeID {
 func Replay(path string, fn func(Record) error) (int64, error) {
 	var total int64
 	for _, p := range []string{path + ".1", path} {
-		f, err := os.Open(p)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			return total, err
-		}
-		st, serr := f.Stat()
-		if serr == nil && st.Size() < headerBytes {
-			f.Close()
-			continue
-		}
-		_, n, err := scanLog(f, fn)
-		f.Close()
+		n, err := framelog.Scan(p, format, decodeTo(fn))
 		total += n
 		if err != nil {
 			return total, err

@@ -146,13 +146,22 @@ func TestStreamRawProtocol(t *testing.T) {
 		t.Fatalf("expansion reply id=%d err=%v", id, err)
 	}
 
-	// Stats report the stream and its traffic.
-	st := shardStatsOf(t, ts)
-	if st.Streams == nil || st.Streams.Open != 1 || st.Streams.Partials < 2 {
-		t.Fatalf("stream stats = %+v, want 1 open with >=2 partials", st.Streams)
-	}
-	if st.Streams.BytesIn == 0 || st.Streams.BytesOut == 0 {
-		t.Fatalf("stream stats count no bytes: %+v", st.Streams)
+	// Stats report the stream and its traffic. The shard counts a reply only
+	// after writing it, so the client can read the reply first: poll.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := shardStatsOf(t, ts)
+		counted := st.Streams != nil && st.Streams.Open == 1 && st.Streams.Partials >= 2
+		if counted && st.Streams.BytesIn != 0 && st.Streams.BytesOut != 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			if !counted {
+				t.Fatalf("stream stats = %+v, want 1 open with >=2 partials", st.Streams)
+			}
+			t.Fatalf("stream stats count no bytes: %+v", st.Streams)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
