@@ -51,10 +51,6 @@ type RouterConfig struct {
 	// (persistent multiplexed binary streams with per-shard JSON fallback; the
 	// default) or TransportJSON (one HTTP POST per sub-request).
 	Transport string
-	// DisableSpeculation turns off pre-sending the next iteration's frontier
-	// while the current one folds. Mainly for differential testing; the
-	// speculative path never changes answers, only overlaps work.
-	DisableSpeculation bool
 	// HealthInterval is the period of the background shard health probe; zero
 	// means 2s, negative disables the probe (health then only changes
 	// passively, on request outcomes).
@@ -63,10 +59,6 @@ type RouterConfig struct {
 	// latency, query outcomes, and a scrape-time collector for epochs and
 	// health); nil records into a private, unexported registry.
 	Registry *telemetry.Registry
-	// LegLatencyBuckets overrides the bucket bounds of the shard-leg latency
-	// histogram family; nil means telemetry.DefLatencyBuckets. Bounds must be
-	// strictly ascending.
-	LegLatencyBuckets []float64
 	// Logger optionally receives structured router logs (health transitions,
 	// epoch raises, update fan-outs, traced queries); nil discards them.
 	Logger *slog.Logger
@@ -83,10 +75,7 @@ type Router struct {
 	// shards are then still attempted by expand (a request outcome is the
 	// only thing that can restore them), trading bounded tail latency for
 	// liveness.
-	passive bool
-	// speculate enables pre-sending the next iteration's frontier before the
-	// current estimate fold and stop check run.
-	speculate bool
+	passive   bool
 	transport string
 	logger    *slog.Logger
 	met       routerMetrics
@@ -216,10 +205,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		client:     client,
 		timeout:    cfg.RequestTimeout,
 		passive:    cfg.HealthInterval < 0,
-		speculate:  !cfg.DisableSpeculation,
 		transport:  cfg.Transport,
 		logger:     logger,
-		met:        newRouterMetrics(reg, cfg.LegLatencyBuckets),
+		met:        newRouterMetrics(reg),
 		stopHealth: make(chan struct{}),
 	}
 	r.clusterEpoch.Store(-1)
@@ -610,7 +598,7 @@ func (r *Router) QueryTrace(q graph.NodeID, stop core.StopCondition, traceID str
 		// The next frontier is fully known here, before this iteration's mass
 		// is folded into the estimate: pre-send it now so the shards overlap
 		// their expansion with our fold and stop bookkeeping.
-		if r.speculate && iter+1 <= maxIter && len(nextFrontier) > 0 {
+		if iter+1 <= maxIter && len(nextFrontier) > 0 {
 			sctx, cancel := context.WithCancel(context.Background())
 			spec = &speculation{
 				sc:     r.scatter(sctx, nextFrontier, iter+1, downShards, staleShards, traceID, true),

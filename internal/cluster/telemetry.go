@@ -54,13 +54,8 @@ type routerMetrics struct {
 	specHits   *telemetry.Counter
 }
 
-// newRouterMetrics registers the router's hot-path handles. legBuckets
-// optionally overrides the shard-leg latency family's bucket bounds
-// (RouterConfig.LegLatencyBuckets); nil takes the shared default.
-func newRouterMetrics(reg *telemetry.Registry, legBuckets []float64) routerMetrics {
-	if legBuckets == nil {
-		legBuckets = telemetry.DefLatencyBuckets
-	}
+// newRouterMetrics registers the router's hot-path handles.
+func newRouterMetrics(reg *telemetry.Registry) routerMetrics {
 	return routerMetrics{
 		queries: reg.Counter("fastppv_router_queries_total",
 			"Routed cluster queries answered (including degraded answers)."),
@@ -76,7 +71,7 @@ func newRouterMetrics(reg *telemetry.Registry, legBuckets []float64) routerMetri
 			telemetry.DefBoundBuckets),
 		legLatency: reg.HistogramVec("fastppv_shard_leg_seconds",
 			"Latency of one shard sub-request (partial or update leg).",
-			legBuckets, "shard"),
+			telemetry.DefLatencyBuckets, "shard"),
 		specSent: reg.Counter("fastppv_router_speculations_sent_total",
 			"Iterations pre-sent to shards before their go/no-go decision."),
 		specHits: reg.Counter("fastppv_router_speculation_hits_total",

@@ -135,7 +135,7 @@ func TestToyGraphConvergesToExact(t *testing.T) {
 
 func TestConvergesToExactOnCyclicGraphs(t *testing.T) {
 	// Directed cyclic graphs exercise the tour-assembly model where tours
-	// revisit hubs; the corrected extension (ExtensionVector) is required for
+	// revisit hubs; the self-loop-corrected extension (Theorem 4) is required for
 	// this test to pass.
 	configs := []struct {
 		nodes, outDeg, hubs int

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"fastppv/internal/graph"
-	"fastppv/internal/prime"
 	"fastppv/internal/sparse"
 )
 
@@ -86,60 +85,26 @@ func (e *Engine) PartialExpand(frontier map[graph.NodeID]float64) (*PartialIncre
 	if !e.precomputed {
 		return nil, fmt.Errorf("core: PartialExpand before Precompute")
 	}
-	out := &PartialIncrement{
-		Frontier: make(map[graph.NodeID]float64),
-	}
 	b := getQueryBufs()
 	defer putQueryBufs(b)
-	hubs := make([]graph.NodeID, 0, len(frontier))
-	//lint:ordered collect-then-sort: hubs are sorted by id before expansion
-	for h := range frontier {
-		hubs = append(hubs, h)
+	//lint:ordered collect-then-sort: the frontier is sorted by hub before expansion
+	for h, w := range frontier {
+		b.frontier = append(b.frontier, frontierEntry{hub: h, prefix: w})
 	}
-	sort.Slice(hubs, func(i, j int) bool { return hubs[i] < hubs[j] })
-	inc := &b.inc
-	for _, h := range hubs {
-		if !e.hubs.Contains(h) || !e.opts.Partition.Owns(h) {
-			out.Unowned = append(out.Unowned, h)
-			continue
-		}
-		prefix := frontier[h]
-		if prefix <= e.opts.Delta {
-			out.HubsSkipped++
-			continue
-		}
-		scale := prefix / e.opts.Alpha
-		if e.viewIndex != nil {
-			view, ok, err := e.viewIndex.GetView(h)
-			if err != nil {
-				return nil, fmt.Errorf("core: loading prime PPV of hub %d: %w", h, err)
-			}
-			if ok {
-				inc.StageEncodedExtension(view.EntryBytes(), scale, h, e.opts.Alpha)
-				view.Release()
-				out.HubsExpanded++
-				continue
-			}
-		}
-		hubPPV, ok, err := e.index.Get(h)
-		if err != nil {
-			return nil, fmt.Errorf("core: loading prime PPV of hub %d: %w", h, err)
-		}
-		if !ok {
-			if hubPPV, _, err = prime.ComputePPV(e.g, h, e.hubs, e.opts.primeOptions()); err != nil {
-				out.HubsSkipped++
-				continue
-			}
-		}
-		inc.StageVectorExtension(hubPPV, scale, h, e.opts.Alpha)
-		out.HubsExpanded++
+	sort.Slice(b.frontier, func(i, j int) bool { return b.frontier[i].hub < b.frontier[j].hub })
+	ex, err := e.expand(b, e.opts.Partition, nil, true)
+	if err != nil {
+		return nil, err
 	}
-	inc.Combine()
-	out.Increment = inc.ToVector()
-	for _, en := range inc.Entries() {
-		if en.Score > 0 && e.hubs.Contains(en.Node) {
-			out.Frontier[en.Node] = en.Score
-		}
+	out := &PartialIncrement{
+		Increment:    b.inc.ToVector(),
+		Frontier:     make(map[graph.NodeID]float64, len(b.frontier)),
+		HubsExpanded: ex.expanded,
+		HubsSkipped:  ex.skipped,
+		Unowned:      ex.unowned,
+	}
+	for _, fe := range b.frontier {
+		out.Frontier[fe.hub] = fe.prefix
 	}
 	return out, nil
 }

@@ -142,36 +142,14 @@ func (e *Engine) NewQueryOn(adj prime.Adjacency, q graph.NodeID) (*QueryState, e
 	started := time.Now()
 
 	b := getQueryBufs()
-	var (
-		computed  bool
-		fromIndex bool
-	)
-	// Iteration 0: the query node's prime PPV. Prefer the zero-copy view
-	// path; fall back to the map Get (which also covers overlay records) and
-	// finally to computing the prime PPV on the fly for non-hub queries.
-	if e.viewIndex != nil {
-		if view, ok, verr := e.viewIndex.GetView(q); verr == nil && ok {
-			b.acc.SetEncoded(view.EntryBytes())
-			view.Release()
-			fromIndex = true
-		}
+	// Iteration 0: the query node's prime PPV, as stored when q is an indexed
+	// hub and computed over adj otherwise. A failed read fails the query.
+	computed, err := e.stageHub(&b.acc, adj, q, 1, noOwner, true)
+	if err != nil {
+		putQueryBufs(b)
+		return nil, err
 	}
-	if !fromIndex {
-		if stored, ok, err := e.index.Get(q); err != nil {
-			putQueryBufs(b)
-			return nil, fmt.Errorf("core: loading prime PPV of query %d: %w", q, err)
-		} else if ok {
-			b.acc.SetVector(stored)
-		} else {
-			queryPPV, _, err := prime.ComputePPV(adj, q, e.hubs, e.opts.primeOptions())
-			if err != nil {
-				putQueryBufs(b)
-				return nil, fmt.Errorf("core: prime PPV of query %d: %w", q, err)
-			}
-			b.acc.SetVector(queryPPV)
-			computed = true
-		}
-	}
+	b.acc.Combine()
 
 	qs := &QueryState{
 		engine:        e,
@@ -186,22 +164,8 @@ func (e *Engine) NewQueryOn(adj prime.Adjacency, q graph.NodeID) (*QueryState, e
 		qs.deps[q] = struct{}{}
 	}
 	// The frontier after iteration 0 is the hub entries of the query's prime
-	// PPV. If the query node is itself a hub, its self-entry includes the
-	// empty tour, which must not be extended (the starting node is excluded
-	// from hub length), so subtract alpha from it. Scanning the sorted
-	// accumulator entries yields the frontier already in expansion order.
-	for _, en := range b.acc.Entries() {
-		if !e.hubs.Contains(en.Node) {
-			continue
-		}
-		w := en.Score
-		if en.Node == q {
-			w -= e.opts.Alpha
-		}
-		if w > 0 {
-			b.frontier = append(b.frontier, frontierEntry{hub: en.Node, prefix: w})
-		}
-	}
+	// PPV, less the empty tour when the query node is itself a hub.
+	b.frontier = e.appendFrontier(b.frontier, b.acc.Entries(), q)
 	qs.mass = b.acc.Sum()
 	bound := 1 - qs.mass
 	qs.result = &Result{
@@ -284,79 +248,29 @@ func (qs *QueryState) Exhausted() bool {
 // while loop) and returns its statistics. Calling Step when Exhausted is a
 // no-op that returns a zero-mass stat.
 func (qs *QueryState) Step() IterationStat {
-	e := qs.engine
 	iterStart := time.Now()
 	qs.iteration++
 	stat := IterationStat{Iteration: qs.iteration}
 	b := qs.bufs
-	if b != nil {
-		stat.FrontierSize = len(b.frontier)
-	}
-
 	if b == nil || len(b.frontier) == 0 {
 		stat.L1ErrorBound = qs.result.L1ErrorBound
 		qs.result.PerIteration = append(qs.result.PerIteration, stat)
 		return stat
 	}
+	stat.FrontierSize = len(b.frontier)
 
-	inc := &b.inc
-	inc.Reset()
-	// The frontier slice is already sorted by ascending hub id, so hubs are
-	// expanded in deterministic order and floating-point accumulation is
-	// reproducible: two queries at the same eta return entry-wise identical
-	// estimates, which lets serving-layer caches promise byte-identical
-	// cached responses.
-	for _, fe := range b.frontier {
-		if fe.prefix <= e.opts.Delta {
-			stat.HubsSkipped++
-			continue
-		}
-		// Theorem 4: extend the prefix ending at hub h by h's prime PPV,
-		// excluding h's empty tour (an extension must advance the walk). The
-		// self-correction is applied inline by the accumulate kernel — no
-		// per-hub clone of the prime PPV.
-		scale := fe.prefix / e.opts.Alpha
-		if e.viewIndex != nil {
-			if view, ok, verr := e.viewIndex.GetView(fe.hub); verr == nil && ok {
-				inc.StageEncodedExtension(view.EntryBytes(), scale, fe.hub, e.opts.Alpha)
-				view.Release()
-				qs.deps[fe.hub] = struct{}{}
-				stat.HubsExpanded++
-				continue
-			}
-		}
-		hubPPV, ok, err := e.index.Get(fe.hub)
-		if err != nil || !ok {
-			// A hub missing from the index (or an I/O error) is recovered by
-			// computing its prime PPV on the fly; this keeps queries usable
-			// with partially built indexes at the cost of extra work.
-			hubPPV, _, err = prime.ComputePPV(e.g, fe.hub, e.hubs, e.opts.primeOptions())
-			if err != nil {
-				stat.HubsSkipped++
-				continue
-			}
-		}
-		inc.StageVectorExtension(hubPPV, scale, fe.hub, e.opts.Alpha)
-		qs.deps[fe.hub] = struct{}{}
-		stat.HubsExpanded++
-	}
-	// One stable-sort fold of everything staged: per-node contributions sum
-	// in ascending-hub order, bit-equal to merging hub by hub.
-	inc.Combine()
-
-	b.acc.AddAccumulator(inc)
+	// A single-node query owns every hub. Reads are lenient: a hub missing
+	// from the index, or one whose read fails, is recomputed on the fly, which
+	// keeps queries usable with partially built indexes at the cost of extra
+	// work. Because the frontier is sorted by hub, two queries at the same
+	// eta return entry-wise identical estimates, which lets serving-layer
+	// caches promise byte-identical cached responses.
+	ex, _ := qs.engine.expand(b, Partition{}, qs.deps, false)
+	stat.HubsExpanded, stat.HubsSkipped = ex.expanded, ex.skipped
+	b.acc.AddAccumulator(&b.inc)
 	qs.estimateDirty = true
-	// The next frontier is the hub entries of the increment; the increment is
-	// sorted, so the frontier slice is born sorted.
-	b.nextFrontier = b.nextFrontier[:0]
-	for _, en := range inc.Entries() {
-		if en.Score > 0 && e.hubs.Contains(en.Node) {
-			b.nextFrontier = append(b.nextFrontier, frontierEntry{hub: en.Node, prefix: en.Score})
-		}
-	}
-	b.frontier, b.nextFrontier = b.nextFrontier, b.frontier
 
-	stat.MassAdded = inc.Sum()
+	stat.MassAdded = b.inc.Sum()
 	qs.mass += stat.MassAdded
 	stat.L1ErrorBound = 1 - qs.mass
 	stat.Duration = time.Since(iterStart)

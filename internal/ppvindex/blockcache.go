@@ -8,46 +8,43 @@ import (
 	"fastppv/internal/sparse"
 )
 
-// BlockCache is a sharded, byte-budgeted LRU cache of decoded prime-PPV
-// records layered over a slower Index (in practice a DiskIndex). It is the
+// BlockCache is a sharded, byte-budgeted LRU cache of hub records layered
+// over a slower view-serving index (in practice a DiskIndex). It is the
 // serving-side answer to the paper's Sect. 5.3/6.3 disk-resident
 // configuration: the full hub index stays on disk and each fetched hub costs
 // one random access, but a skewed online workload re-fetches a small set of
-// popular hubs over and over — the cache keeps that hot working set decoded
-// in memory under an explicit byte budget, so indexes larger than RAM stay
+// popular hubs over and over — the cache keeps that hot working set in
+// memory under an explicit byte budget, so indexes larger than RAM stay
 // servable.
+//
+// Blocks are retained as the raw 12-byte encoded entry payload, the same flat
+// layout as the disk record, and GetView serves cache hits as zero-copy,
+// zero-allocation views over the retained buffer. The retained buffer is an
+// owned copy, never an alias of the inner index's mapping, so cached views
+// stay valid across compaction swaps and need no pin. Get decodes the
+// retained payload per call; it is the boundary path, not the query hot loop.
 //
 // Three properties matter under a concurrent server:
 //
 //   - sharding: hubs hash onto independent mutex+LRU shards, so cache lookups
 //     on the query hot path do not serialize on one lock;
-//   - singleflight: concurrent Gets for the same uncached hub perform one
-//     disk read and share the decoded block, preventing a miss stampede on a
-//     hub that just became popular (or was just invalidated);
+//   - singleflight: concurrent reads of the same uncached hub perform one
+//     inner read and share the block, preventing a miss stampede on a hub
+//     that just became popular (or was just invalidated);
 //   - targeted invalidation: when ApplyUpdate recomputes a hub's prime PPV,
-//     Invalidate evicts exactly that hub's block, so the next Get re-reads
+//     Invalidate evicts exactly that hub's block, so the next read fetches
 //     the fresh record instead of serving the stale one.
-//
-// Cached vectors are shared with callers and must be treated as immutable,
-// matching the Index.Get contract.
-//
-// When the inner index additionally implements ViewGetter (every DiskIndex
-// does), the cache runs in view mode: blocks are retained as the raw 12-byte
-// encoded entry payload — the same flat layout as the disk record, ~4x
-// denser than a decoded map, so the same byte budget holds ~4x more hot hubs
-// — and GetView serves cache hits as zero-copy, zero-allocation views over
-// the retained buffer. The retained buffer is an owned copy, never an alias
-// of the inner index's mapping, so cached views stay valid across compaction
-// swaps and need no pin. Get still works in view mode by decoding the
-// retained payload per call; it is the boundary/fallback path, not the query
-// hot loop.
 type BlockCache struct {
-	inner Index
-	// viewInner is non-nil when inner serves zero-copy record views, which
-	// switches the cache to retaining raw encoded payloads.
-	viewInner ViewGetter
-	shards    []*blockShard
-	budget    int64
+	inner  ViewIndex
+	shards []*blockShard
+	budget int64
+}
+
+// ViewIndex is an Index that also serves its records as views: what a
+// BlockCache needs underneath it.
+type ViewIndex interface {
+	Index
+	ViewGetter
 }
 
 type blockShard struct {
@@ -57,25 +54,21 @@ type blockShard struct {
 	lru    *list.List // front = most recently used; values are *blockEntry
 	byHub  map[graph.NodeID]*list.Element
 	// flights holds the in-progress load per hub; later arrivals block on the
-	// call instead of issuing their own disk read.
+	// call instead of issuing their own inner read.
 	flights map[graph.NodeID]*blockFlight
 
 	hits, misses, loads, evictions, invalidations, coalesced int64
 }
 
 type blockEntry struct {
-	hub graph.NodeID
-	// Exactly one of the two payloads is set: ppv in legacy (map) mode, raw
-	// (the flat encoded entry payload) in view mode.
-	ppv   sparse.Vector
-	raw   []byte
+	hub   graph.NodeID
+	raw   []byte // the flat encoded entry payload
 	bytes int64
 }
 
 type blockFlight struct {
 	done chan struct{}
-	ppv  sparse.Vector // legacy mode
-	raw  []byte        // view mode
+	raw  []byte
 	ok   bool
 	err  error
 }
@@ -83,8 +76,9 @@ type blockFlight struct {
 // BlockCacheStats is a point-in-time summary of the cache, aggregated over
 // shards.
 type BlockCacheStats struct {
-	// Hits are Gets answered from a cached block; Misses went to the inner
-	// index (Coalesced of them by sharing another Get's in-flight load).
+	// Hits are reads (Get or GetView) answered from a cached block; Misses
+	// went to the inner index (Coalesced of them by sharing another read's
+	// in-flight load).
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Coalesced int64 `json:"coalesced"`
@@ -98,30 +92,14 @@ type BlockCacheStats struct {
 	BudgetBytes   int64 `json:"budget_bytes"`
 }
 
-// Per-block byte accounting: a decoded record lives as a Go map from NodeID
-// to float64, which costs far more than the 12 bytes/entry of the disk
-// layout. ~48 bytes/entry covers key+value+bucket overhead at typical load
-// factors; the fixed term covers the map header, list element and entry
-// struct.
-const (
-	blockFixedBytes    = 128
-	blockPerEntryBytes = 48
-)
-
-// blockBytes prices a cached block: a view-mode block costs its flat payload
-// (12 bytes/entry), a decoded map costs ~48 bytes/entry.
-func blockBytes(ppv sparse.Vector, raw []byte) int64 {
-	c := int64(blockFixedBytes) + int64(len(raw))
-	if ppv != nil {
-		c += int64(ppv.NonZeros()) * blockPerEntryBytes
-	}
-	return c
-}
+// blockFixedBytes is the per-block overhead on top of its payload: the list
+// element, the entry struct and the directory slot.
+const blockFixedBytes = 128
 
 // NewBlockCache wraps inner with a cache of budgetBytes total budget split
 // evenly across numShards shards. Non-positive budget or shard count fall
 // back to defaults (64 MiB, 16 shards).
-func NewBlockCache(inner Index, budgetBytes int64, numShards int) *BlockCache {
+func NewBlockCache(inner ViewIndex, budgetBytes int64, numShards int) *BlockCache {
 	if budgetBytes <= 0 {
 		budgetBytes = 64 << 20
 	}
@@ -133,7 +111,6 @@ func NewBlockCache(inner Index, budgetBytes int64, numShards int) *BlockCache {
 		shards: make([]*blockShard, numShards),
 		budget: budgetBytes,
 	}
-	c.viewInner, _ = inner.(ViewGetter)
 	perShard := budgetBytes / int64(numShards)
 	if perShard < 1 {
 		perShard = 1
@@ -158,72 +135,22 @@ func (c *BlockCache) shardFor(h graph.NodeID) *blockShard {
 	return c.shards[(x>>32)%uint64(len(c.shards))]
 }
 
-// Get returns the prime PPV of h, from cache when possible. On a miss the
-// block is loaded from the inner index exactly once, no matter how many
-// concurrent Gets race for it, then retained under the byte budget.
+// Get returns the prime PPV of h, decoded from the cached block. On a miss
+// the block is loaded from the inner index exactly once, no matter how many
+// concurrent reads race for it, then retained under the byte budget.
 func (c *BlockCache) Get(h graph.NodeID) (sparse.Vector, bool, error) {
-	// Membership is resolved from the inner index's in-memory directory
-	// first: a Get for an unindexed node (every non-hub query node) is a map
-	// lookup, never a flight registration, and does not distort miss stats.
-	if !c.inner.Has(h) {
-		return nil, false, nil
+	raw, ok, err := c.getRaw(h)
+	if err != nil || !ok {
+		return nil, ok, err
 	}
-	if c.viewInner != nil {
-		raw, ok, err := c.getRaw(h)
-		if err != nil || !ok {
-			return nil, ok, err
-		}
-		return decodeEntries(raw), true, nil
-	}
-	s := c.shardFor(h)
-	s.mu.Lock()
-	if el, ok := s.byHub[h]; ok {
-		s.hits++
-		s.lru.MoveToFront(el)
-		v := el.Value.(*blockEntry).ppv
-		s.mu.Unlock()
-		return v, true, nil
-	}
-	s.misses++
-	if fl, ok := s.flights[h]; ok {
-		s.coalesced++
-		s.mu.Unlock()
-		<-fl.done
-		return fl.ppv, fl.ok, fl.err
-	}
-	fl := &blockFlight{done: make(chan struct{})}
-	s.flights[h] = fl
-	s.mu.Unlock()
-
-	fl.ppv, fl.ok, fl.err = c.inner.Get(h)
-
-	s.mu.Lock()
-	s.loads++
-	// The load may race with an Invalidate for the same hub (an update
-	// rewrote the record while we were reading the old one). Invalidate
-	// removes the flight from the map to mark it stale; only a still
-	// registered flight may populate the cache.
-	if cur, registered := s.flights[h]; registered && cur == fl {
-		delete(s.flights, h)
-		if fl.err == nil && fl.ok {
-			s.insertLocked(h, fl.ppv, nil)
-		}
-	}
-	s.mu.Unlock()
-	close(fl.done)
-	return fl.ppv, fl.ok, fl.err
+	return sparse.DecodeVector(raw), true, nil
 }
 
 // GetView returns a zero-copy view of the record of h, from cache when
 // possible. Cache hits are allocation-free: the view aliases the retained
 // payload copy, which stays valid even if the entry is later evicted,
-// invalidated, or the inner index generation is compacted away. Only
-// available in view mode (inner implements ViewGetter); otherwise reports
-// not-found so callers fall back to Get.
+// invalidated, or the inner index generation is compacted away.
 func (c *BlockCache) GetView(h graph.NodeID) (HubRecordView, bool, error) {
-	if c.viewInner == nil || !c.inner.Has(h) {
-		return HubRecordView{}, false, nil
-	}
 	raw, ok, err := c.getRaw(h)
 	if err != nil || !ok {
 		return HubRecordView{}, ok, err
@@ -231,12 +158,18 @@ func (c *BlockCache) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 	return NewHubRecordView(h, raw, nil), true, nil
 }
 
-// getRaw resolves the flat encoded payload of h through the cache in view
-// mode, loading it from the inner index exactly once per miss. The payload
-// handed to callers is an owned copy of the inner view's bytes, taken while
-// the inner view's pin was held, so it never dangles into an unmapped
-// generation.
+// getRaw resolves the flat encoded payload of h through the cache, loading
+// it from the inner index exactly once per miss. The payload handed to
+// callers is an owned copy of the inner view's bytes, taken while the inner
+// view's pin was held, so it never dangles into an unmapped generation.
+//
+// Membership is resolved from the inner index's in-memory directory first: a
+// read of an unindexed node (every non-hub query node) is a map lookup,
+// never a flight registration, and does not distort miss stats.
 func (c *BlockCache) getRaw(h graph.NodeID) ([]byte, bool, error) {
+	if !c.inner.Has(h) {
+		return nil, false, nil
+	}
 	s := c.shardFor(h)
 	s.mu.Lock()
 	if el, ok := s.byHub[h]; ok {
@@ -257,7 +190,7 @@ func (c *BlockCache) getRaw(h graph.NodeID) ([]byte, bool, error) {
 	s.flights[h] = fl
 	s.mu.Unlock()
 
-	view, ok, err := c.viewInner.GetView(h)
+	view, ok, err := c.inner.GetView(h)
 	if err == nil && ok {
 		fl.raw = append([]byte{}, view.EntryBytes()...)
 		view.Release()
@@ -266,10 +199,14 @@ func (c *BlockCache) getRaw(h graph.NodeID) ([]byte, bool, error) {
 
 	s.mu.Lock()
 	s.loads++
+	// The load may race with an Invalidate for the same hub (an update
+	// rewrote the record while we were reading the old one). Invalidate
+	// removes the flight from the map to mark it stale; only a still
+	// registered flight may populate the cache.
 	if cur, registered := s.flights[h]; registered && cur == fl {
 		delete(s.flights, h)
 		if fl.err == nil && fl.ok {
-			s.insertLocked(h, nil, fl.raw)
+			s.insertLocked(h, fl.raw)
 		}
 	}
 	s.mu.Unlock()
@@ -277,11 +214,11 @@ func (c *BlockCache) getRaw(h graph.NodeID) ([]byte, bool, error) {
 	return fl.raw, fl.ok, fl.err
 }
 
-// insertLocked stores a block (decoded map in legacy mode, raw payload in
-// view mode) and evicts LRU blocks until the shard is back under budget.
-// Blocks larger than a whole shard budget are served but not retained.
-func (s *blockShard) insertLocked(h graph.NodeID, v sparse.Vector, raw []byte) {
-	nbytes := blockBytes(v, raw)
+// insertLocked stores a block and evicts LRU blocks until the shard is back
+// under budget. Blocks larger than a whole shard budget are served but not
+// retained.
+func (s *blockShard) insertLocked(h graph.NodeID, raw []byte) {
+	nbytes := int64(blockFixedBytes + len(raw))
 	if nbytes > s.budget {
 		return
 	}
@@ -290,10 +227,10 @@ func (s *blockShard) insertLocked(h graph.NodeID, v sparse.Vector, raw []byte) {
 		// started before either registered); keep the newer value.
 		ent := el.Value.(*blockEntry)
 		s.bytes += nbytes - ent.bytes
-		ent.ppv, ent.raw, ent.bytes = v, raw, nbytes
+		ent.raw, ent.bytes = raw, nbytes
 		s.lru.MoveToFront(el)
 	} else {
-		s.byHub[h] = s.lru.PushFront(&blockEntry{hub: h, ppv: v, raw: raw, bytes: nbytes})
+		s.byHub[h] = s.lru.PushFront(&blockEntry{hub: h, raw: raw, bytes: nbytes})
 		s.bytes += nbytes
 	}
 	for s.bytes > s.budget {

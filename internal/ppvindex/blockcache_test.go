@@ -12,20 +12,25 @@ import (
 	"fastppv/internal/sparse"
 )
 
-// countingIndex wraps an Index and counts Gets, with an optional gate that
-// holds loads open so tests can pile up concurrent requests.
+// countingIndex serves the records of a MemIndex as views, the way a
+// DiskIndex does, and counts GetViews, with an optional gate that holds
+// loads open so tests can pile up concurrent requests.
 type countingIndex struct {
-	Index
+	*MemIndex
 	gets atomic.Int64
-	gate chan struct{} // when non-nil, Get blocks until it is closed
+	gate chan struct{} // when non-nil, GetView blocks until it is closed
 }
 
-func (c *countingIndex) Get(h graph.NodeID) (sparse.Vector, bool, error) {
+func (c *countingIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 	c.gets.Add(1)
 	if c.gate != nil {
 		<-c.gate
 	}
-	return c.Index.Get(h)
+	v, ok, err := c.MemIndex.Get(h)
+	if err != nil || !ok {
+		return HubRecordView{}, ok, err
+	}
+	return NewHubRecordView(h, sparse.AppendEncoded(nil, v), nil), true, nil
 }
 
 func memIndexWith(t *testing.T, vectors map[graph.NodeID]sparse.Vector) *MemIndex {
@@ -40,7 +45,7 @@ func memIndexWith(t *testing.T, vectors map[graph.NodeID]sparse.Vector) *MemInde
 }
 
 func TestBlockCacheHitsAvoidInnerReads(t *testing.T) {
-	inner := &countingIndex{Index: memIndexWith(t, sampleVectors())}
+	inner := &countingIndex{MemIndex: memIndexWith(t, sampleVectors())}
 	bc := NewBlockCache(inner, 1<<20, 4)
 
 	for i := 0; i < 5; i++ {
@@ -77,10 +82,10 @@ func TestBlockCacheBudgetEviction(t *testing.T) {
 	for h := graph.NodeID(0); h < 8; h++ {
 		vectors[h] = sparse.Vector{h: 0.5, h + 100: 0.25}
 	}
-	inner := &countingIndex{Index: memIndexWith(t, vectors)}
-	// One shard so LRU order is global; budget fits ~3 two-entry blocks
-	// (128 fixed + 2*48 = 224 bytes each).
-	bc := NewBlockCache(inner, 700, 1)
+	inner := &countingIndex{MemIndex: memIndexWith(t, vectors)}
+	// One shard so LRU order is global; budget fits 3 two-entry blocks
+	// (128 fixed + 2*12 = 152 bytes each).
+	bc := NewBlockCache(inner, 500, 1)
 
 	for h := graph.NodeID(0); h < 8; h++ {
 		if _, ok, err := bc.Get(h); !ok || err != nil {
@@ -88,8 +93,8 @@ func TestBlockCacheBudgetEviction(t *testing.T) {
 		}
 	}
 	st := bc.Stats()
-	if st.Bytes > 700 {
-		t.Errorf("cache holds %d bytes, budget 700", st.Bytes)
+	if st.Bytes > 500 {
+		t.Errorf("cache holds %d bytes, budget 500", st.Bytes)
 	}
 	if st.Evictions == 0 {
 		t.Error("expected evictions after exceeding the budget")
@@ -113,21 +118,21 @@ func TestBlockCacheBudgetEviction(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		huge[graph.NodeID(1000+i)] = 0.001
 	}
-	if err := inner.Index.(*MemIndex).Put(200, huge); err != nil {
+	if err := inner.Put(200, huge); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := bc.Get(200); !ok || err != nil {
 		t.Fatalf("Get(200) = %v, %v", ok, err)
 	}
-	if st := bc.Stats(); st.Bytes > 700 {
+	if st := bc.Stats(); st.Bytes > 500 {
 		t.Errorf("oversized block retained: %d bytes held", st.Bytes)
 	}
 }
 
 func TestBlockCacheSingleflight(t *testing.T) {
 	inner := &countingIndex{
-		Index: memIndexWith(t, sampleVectors()),
-		gate:  make(chan struct{}),
+		MemIndex: memIndexWith(t, sampleVectors()),
+		gate:     make(chan struct{}),
 	}
 	bc := NewBlockCache(inner, 1<<20, 4)
 
@@ -176,7 +181,7 @@ func TestBlockCacheSingleflight(t *testing.T) {
 
 func TestBlockCacheInvalidate(t *testing.T) {
 	mem := memIndexWith(t, sampleVectors())
-	inner := &countingIndex{Index: mem}
+	inner := &countingIndex{MemIndex: mem}
 	bc := NewBlockCache(inner, 1<<20, 4)
 
 	for h := range sampleVectors() {
@@ -215,7 +220,7 @@ func TestBlockCacheInvalidate(t *testing.T) {
 
 func TestBlockCacheInvalidateMarksInflightStale(t *testing.T) {
 	mem := memIndexWith(t, sampleVectors())
-	inner := &countingIndex{Index: mem, gate: make(chan struct{})}
+	inner := &countingIndex{MemIndex: mem, gate: make(chan struct{})}
 	bc := NewBlockCache(inner, 1<<20, 4)
 
 	done := make(chan sparse.Vector, 1)
@@ -304,10 +309,14 @@ func TestBlockCachePropagatesErrors(t *testing.T) {
 
 var errBoom = errors.New("boom")
 
+// erroringIndex lists every node as indexed but fails every read.
 type erroringIndex struct{ gets int }
 
-func (e *erroringIndex) Get(graph.NodeID) (sparse.Vector, bool, error) {
+func (e *erroringIndex) GetView(graph.NodeID) (HubRecordView, bool, error) {
 	e.gets++
+	return HubRecordView{}, false, errBoom
+}
+func (e *erroringIndex) Get(graph.NodeID) (sparse.Vector, bool, error) {
 	return nil, false, errBoom
 }
 func (e *erroringIndex) Has(graph.NodeID) bool { return true }

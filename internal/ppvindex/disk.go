@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -91,27 +90,15 @@ func CreateDisk(path string) (*DiskWriter, error) {
 	}, nil
 }
 
-// encodeRecord serializes one hub record in the shared binary layout (hub,
-// count, count x {node, score}), entries in ascending node order for
-// determinism. The disk index records and the update-log payloads use the
-// same encoding.
+// encodeRecord serializes one hub record in the shared binary layout: the
+// hub and entry count, then the entries in sparse's 12-byte encoding,
+// ascending node order for determinism. The disk index records and the
+// update-log payloads use the same encoding.
 func encodeRecord(h graph.NodeID, ppv sparse.Vector) []byte {
-	nodes := make([]graph.NodeID, 0, len(ppv))
-	for n := range ppv {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-
-	buf := make([]byte, 8+len(nodes)*entryBytes)
+	buf := make([]byte, 8, 8+len(ppv)*entryBytes)
 	binary.LittleEndian.PutUint32(buf[0:], uint32(h))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(nodes)))
-	at := 8
-	for _, n := range nodes {
-		binary.LittleEndian.PutUint32(buf[at:], uint32(n))
-		binary.LittleEndian.PutUint64(buf[at+4:], math.Float64bits(ppv[n]))
-		at += entryBytes
-	}
-	return buf
+	binary.LittleEndian.PutUint32(buf[4:], uint32(len(ppv)))
+	return sparse.AppendEncoded(buf, ppv)
 }
 
 // decodeRecordPayload parses a buffer produced by encodeRecord. The declared
@@ -125,13 +112,7 @@ func decodeRecordPayload(buf []byte) (graph.NodeID, sparse.Vector, error) {
 	if count < 0 || 8+count*entryBytes != len(buf) {
 		return 0, nil, fmt.Errorf("%w: record of hub %d claims %d entries in a %d-byte payload", ErrBadIndexFormat, h, count, len(buf))
 	}
-	v := sparse.New(count)
-	for i := 0; i < count; i++ {
-		node := graph.NodeID(binary.LittleEndian.Uint32(buf[8+i*entryBytes:]))
-		score := math.Float64frombits(binary.LittleEndian.Uint64(buf[8+i*entryBytes+4:]))
-		v[node] = score
-	}
-	return h, v, nil
+	return h, sparse.DecodeVector(buf[8:]), nil
 }
 
 // Put appends the prime PPV of hub h to the index file. Entries are written
@@ -388,14 +369,9 @@ func (d *DiskIndex) pin() bool {
 
 func (d *DiskIndex) unpin() { d.inflight.Add(-1) }
 
-// readBuf holds the per-read scratch buffers of the pread path, pooled so the
-// non-mmap fallback does not allocate a header and payload buffer per record.
-type readBuf struct {
-	header  [8]byte
-	payload []byte
-}
-
-var readBufPool = sync.Pool{New: func() any { return new(readBuf) }}
+// headerPool recycles the record-header buffer of the pread path, so a
+// pread GetView allocates only the payload it hands out.
+var headerPool = sync.Pool{New: func() any { return new([8]byte) }}
 
 // recordBounds validates the directory offset's record header for hub h and
 // returns the payload offset and length. checkedHeader is the 8-byte header
@@ -419,9 +395,9 @@ func (d *DiskIndex) recordBounds(h graph.NodeID, off uint64, header []byte) (int
 // the view aliases the mapping and pins this index generation until Release;
 // in pread mode the entries are read into a freshly owned buffer (callers
 // that want pooling across reads should layer a BlockCache on top, which
-// retains these buffers). Bounds and hub-id checks mirror Get, so a corrupt
-// or truncated record surfaces as ErrBadIndexFormat rather than an
-// out-of-bounds view.
+// retains these buffers). The header's hub id and entry count are checked
+// against the record region, so a corrupt or truncated record surfaces as
+// ErrBadIndexFormat rather than an out-of-bounds view.
 func (d *DiskIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 	off, ok := d.directory[h]
 	if !ok {
@@ -441,15 +417,15 @@ func (d *DiskIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 		return NewHubRecordView(h, d.data[payloadOff:payloadOff+int64(payloadLen)], d.release), true, nil
 	}
 	defer d.unpin()
-	rb := readBufPool.Get().(*readBuf)
-	defer readBufPool.Put(rb)
-	if _, err := d.f.ReadAt(rb.header[:], int64(off)); err != nil {
+	header := headerPool.Get().(*[8]byte)
+	defer headerPool.Put(header)
+	if _, err := d.f.ReadAt(header[:], int64(off)); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return HubRecordView{}, false, fmt.Errorf("%w: truncated record header of hub %d at offset %d", ErrBadIndexFormat, h, off)
 		}
 		return HubRecordView{}, false, err
 	}
-	payloadOff, payloadLen, err := d.recordBounds(h, off, rb.header[:])
+	payloadOff, payloadLen, err := d.recordBounds(h, off, header[:])
 	if err != nil {
 		return HubRecordView{}, false, err
 	}
@@ -464,66 +440,15 @@ func (d *DiskIndex) GetView(h graph.NodeID) (HubRecordView, bool, error) {
 	return NewHubRecordView(h, buf, nil), true, nil
 }
 
-// Get reads the prime PPV of h from disk. A record that does not fit inside
-// the file's record region — a truncated file, or a corrupt count that would
-// drive a huge allocation — fails with ErrBadIndexFormat instead of decoding
-// zero-filled bytes into a silently wrong vector.
+// Get reads the prime PPV of h from disk and decodes it into a fresh Vector;
+// the checks, and with them the errors, are GetView's.
 func (d *DiskIndex) Get(h graph.NodeID) (sparse.Vector, bool, error) {
-	off, ok := d.directory[h]
-	if !ok {
-		return nil, false, nil
+	view, ok, err := d.GetView(h)
+	if err != nil || !ok {
+		return nil, ok, err
 	}
-	if !d.pin() {
-		return nil, false, ErrIndexClosed
-	}
-	defer d.unpin()
-	if d.data != nil {
-		payloadOff, payloadLen, err := d.recordBounds(h, off, d.data[off:off+8])
-		if err != nil {
-			return nil, false, err
-		}
-		d.reads.Add(1)
-		return decodeEntries(d.data[payloadOff : payloadOff+int64(payloadLen)]), true, nil
-	}
-	rb := readBufPool.Get().(*readBuf)
-	defer readBufPool.Put(rb)
-	if _, err := d.f.ReadAt(rb.header[:], int64(off)); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, false, fmt.Errorf("%w: truncated record header of hub %d at offset %d", ErrBadIndexFormat, h, off)
-		}
-		return nil, false, err
-	}
-	payloadOff, payloadLen, err := d.recordBounds(h, off, rb.header[:])
-	if err != nil {
-		return nil, false, err
-	}
-	if cap(rb.payload) < payloadLen {
-		rb.payload = make([]byte, payloadLen)
-	}
-	buf := rb.payload[:payloadLen]
-	if _, err := d.f.ReadAt(buf, payloadOff); err != nil {
-		// ReadAt returns a non-nil error on every short read; after the
-		// bounds check above, any EOF here means the file shrank under us.
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, false, fmt.Errorf("%w: truncated record of hub %d at offset %d", ErrBadIndexFormat, h, off)
-		}
-		return nil, false, err
-	}
-	d.reads.Add(1)
-	return decodeEntries(buf), true, nil
-}
-
-// decodeEntries materializes a flat encoded entry payload as a map Vector.
-// The input is fully copied out, so pooled and mapped buffers never escape.
-func decodeEntries(buf []byte) sparse.Vector {
-	count := len(buf) / entryBytes
-	v := sparse.New(count)
-	for i := 0; i < count; i++ {
-		node := graph.NodeID(binary.LittleEndian.Uint32(buf[i*entryBytes:]))
-		score := math.Float64frombits(binary.LittleEndian.Uint64(buf[i*entryBytes+4:]))
-		v[node] = score
-	}
-	return v
+	defer view.Release()
+	return sparse.DecodeVector(view.EntryBytes()), true, nil
 }
 
 // Has reports whether h is indexed.

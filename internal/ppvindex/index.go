@@ -39,9 +39,9 @@ type Writer interface {
 	Put(h graph.NodeID, ppv sparse.Vector) error
 }
 
-// entryBytes is the storage cost per (node, score) pair: a uint32 node id and
-// a float64 score, matching the binary disk layout.
-const entryBytes = 4 + 8
+// entryBytes is the storage cost per (node, score) pair in the binary disk
+// layout: sparse's encoded entry.
+const entryBytes = sparse.EncodedEntrySize
 
 // perHubOverheadBytes is the fixed per-hub cost in the binary layout: the hub
 // id and the entry count.

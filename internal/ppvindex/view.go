@@ -49,14 +49,7 @@ func (v HubRecordView) EntryBytes() []byte { return v.data }
 // Vector decodes the view into a freshly allocated map-based Vector. It is
 // the boundary conversion for callers that need random access; the hot path
 // should use EntryBytes with sparse.Accumulator instead.
-func (v HubRecordView) Vector() sparse.Vector {
-	out := sparse.New(v.Len())
-	for i := 0; i < v.Len(); i++ {
-		id, s := v.Entry(i)
-		out[id] = s
-	}
-	return out
-}
+func (v HubRecordView) Vector() sparse.Vector { return sparse.DecodeVector(v.data) }
 
 // Release returns the view's pin on its index generation, if it holds one.
 // It must be called exactly once per pinned view; calling it on a zero or

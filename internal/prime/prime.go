@@ -195,39 +195,6 @@ func ComputePPV(g Adjacency, src graph.NodeID, hubs *hub.Set, opts Options) (spa
 	return out, stats, nil
 }
 
-// BorderHubs extracts the border hub nodes H'(src) from a prime PPV: the hubs
-// (other than the source) reachable through hub-free tours.
-func BorderHubs(primePPV sparse.Vector, src graph.NodeID, hubs *hub.Set) []graph.NodeID {
-	var out []graph.NodeID
-	for u := range primePPV {
-		if u != src && hubs.Contains(u) {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// ExtensionVector returns the prime PPV of a hub as used when extending a
-// tour through that hub (Theorem 4): identical to the prime PPV except that
-// the empty tour's self-entry (alpha at the hub itself) is removed, because an
-// extension through a hub must advance the walk by at least one edge. Without
-// this correction, tours ending at a hub would be double counted across
-// consecutive iterations. The input is not modified.
-func ExtensionVector(primePPV sparse.Vector, owner graph.NodeID, alpha float64) sparse.Vector {
-	self, ok := primePPV[owner]
-	if !ok {
-		return primePPV
-	}
-	out := primePPV.Clone()
-	corrected := self - alpha
-	if corrected <= 1e-15 {
-		delete(out, owner)
-	} else {
-		out[owner] = corrected
-	}
-	return out
-}
-
 // Subgraph is an explicitly materialized prime subgraph, used by tests and by
 // the disk-based experiments to reason about prime-subgraph size.
 type Subgraph struct {

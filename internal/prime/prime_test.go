@@ -159,44 +159,6 @@ func TestComputePPVMaxPushesTruncates(t *testing.T) {
 	}
 }
 
-func TestExtensionVector(t *testing.T) {
-	g, hubs := chainWithHub(t)
-	ppv, _, err := ComputePPV(g, 1, hubs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext := ExtensionVector(ppv, 1, alpha)
-	// The empty-tour self entry is removed...
-	if got := ext.Get(1); got != 0 {
-		t.Errorf("extension self entry = %v, want 0", got)
-	}
-	// ...but the original vector is untouched and other entries are kept.
-	if got := ppv.Get(1); math.Abs(got-alpha) > 1e-12 {
-		t.Errorf("original prime PPV was modified: %v", got)
-	}
-	if got := ext.Get(2); math.Abs(got-ppv.Get(2)) > 1e-12 {
-		t.Errorf("extension changed a non-self entry: %v vs %v", got, ppv.Get(2))
-	}
-	// A vector without a self entry is returned unchanged (same map).
-	noSelf := ppv.Clone()
-	delete(noSelf, 1)
-	if out := ExtensionVector(noSelf, 1, alpha); out.Get(2) != noSelf.Get(2) || len(out) != len(noSelf) {
-		t.Error("ExtensionVector should be a no-op without a self entry")
-	}
-}
-
-func TestBorderHubsHelper(t *testing.T) {
-	g, hubs := chainWithHub(t)
-	ppv, _, err := ComputePPV(g, 0, hubs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	border := BorderHubs(ppv, 0, hubs)
-	if len(border) != 1 || border[0] != 1 {
-		t.Errorf("BorderHubs = %v, want [1]", border)
-	}
-}
-
 func TestExtractMatchesComputePPVSupport(t *testing.T) {
 	b := graph.NewBuilder(true)
 	b.EnsureNodes(7)

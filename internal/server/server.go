@@ -117,10 +117,6 @@ type Config struct {
 	// if both are zero, SLO accounting entirely) off.
 	SLOLatency time.Duration
 	SLOBound   float64
-	// LatencyBuckets overrides the bucket bounds of the HTTP request-latency
-	// histogram family; nil means telemetry.DefLatencyBuckets. Bounds must be
-	// strictly ascending.
-	LatencyBuckets []float64
 	// Registry optionally receives the server's metrics and is served on
 	// GET /metrics; nil creates a private registry (the endpoint still works).
 	// In router mode, pass the same registry to the cluster.RouterConfig so
@@ -271,7 +267,7 @@ func newServer(cfg Config) *Server {
 			"partial": {},
 		},
 		registry: reg,
-		metrics:  newServerMetrics(reg, cfg.LatencyBuckets),
+		metrics:  newServerMetrics(reg),
 		logger:   logger,
 		started:  time.Now(),
 		qlog:     cfg.QueryLog,

@@ -1,18 +1,20 @@
 // accumulator.go implements the flat sorted-slice accumulator used by the
-// query inner loop. The online stage of FastPPV (Sect. 5) repeatedly folds
-// scaled prime PPVs into a running estimate; doing that over map-based
-// Vectors costs a hash probe per entry plus a defensive clone per hub
-// (ExtensionVector). The Accumulator instead keeps entries as a []Entry
-// sorted by node id and folds each hub record in with a single linear merge,
-// reading the hub's entries either from a decoded Vector or directly from
-// the 12-byte on-disk record encoding (see EncodedEntrySize) without
+// query inner loop, and the 12-byte entry codec it shares with the on-disk
+// index. The online stage of FastPPV (Sect. 5) repeatedly folds scaled prime
+// PPVs into a running estimate; doing that over map-based Vectors costs a
+// hash probe per entry plus a defensive clone per hub. The Accumulator
+// instead keeps entries as a []Entry sorted by node id: hub records are
+// staged straight from a decoded Vector or from their encoded bytes (see
+// EncodedEntrySize) and folded in with one stable sort, without
 // materializing an intermediate map. Results convert back to the public
 // map-based Vector only at the API boundary.
 package sparse
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 
 	"fastppv/internal/graph"
@@ -39,8 +41,34 @@ func EncodedEntryAt(b []byte, i int) (graph.NodeID, float64) {
 	return id, score
 }
 
+// AppendEncoded appends the encoding of v, entries in ascending node order,
+// to dst and returns the extended slice.
+func AppendEncoded(dst []byte, v Vector) []byte {
+	var a Accumulator
+	a.SetVector(v)
+	at := len(dst)
+	dst = append(dst, make([]byte, len(a.entries)*EncodedEntrySize)...)
+	for i, e := range a.entries {
+		PutEncodedEntry(dst[at+i*EncodedEntrySize:], e.Node, e.Score)
+	}
+	return dst
+}
+
+// DecodeVector materializes the entries of an encoded payload as a Vector. A
+// trailing partial entry is ignored; callers that must reject one check the
+// length first. The result shares no memory with data.
+func DecodeVector(data []byte) Vector {
+	n := len(data) / EncodedEntrySize
+	v := New(n)
+	for i := 0; i < n; i++ {
+		id, s := EncodedEntryAt(data, i)
+		v[id] = s
+	}
+	return v
+}
+
 // extensionEpsilon is the threshold below which the self-loop-corrected score
-// of a hub's own entry is dropped, matching prime.ExtensionVector.
+// of a hub's own entry is dropped.
 const extensionEpsilon = 1e-15
 
 // Accumulator is a sparse score vector stored as a slice of entries sorted by
@@ -52,10 +80,24 @@ const extensionEpsilon = 1e-15
 // The zero value is ready to use; Reset makes an instance reusable without
 // releasing its backing storage, which is what makes pooling effective.
 type Accumulator struct {
-	entries []Entry // invariant: sorted by ascending Node, no duplicates
-	scratch []Entry // merge destination, swapped with entries after each fold
-	tmp     []Entry // staging area for unsorted (map) inputs
-	staged  []Entry // contributions staged by Stage* since the last Combine
+	entries []Entry       // invariant: sorted by ascending Node, no duplicates
+	scratch []Entry       // merge destination, swapped with entries after each fold
+	tmp     []Entry       // Combine's fold of the staged contributions
+	staged  []stagedEntry // contributions staged by Stage* since the last Combine
+}
+
+// stagedEntry is one staged contribution. seq, its position in the staging
+// buffer, makes (node, seq) a unique sort key, so Combine's unstable sort on
+// it orders contributions exactly as a stable sort by node would.
+type stagedEntry struct {
+	node  graph.NodeID
+	seq   int32
+	score float64
+}
+
+// stage appends one contribution to the staging buffer.
+func (a *Accumulator) stage(node graph.NodeID, score float64) {
+	a.staged = append(a.staged, stagedEntry{node: node, seq: int32(len(a.staged)), score: score})
 }
 
 // Reset truncates the accumulator to empty, retaining capacity.
@@ -85,27 +127,15 @@ func (a *Accumulator) Get(id graph.NodeID) float64 {
 
 // SetVector replaces the accumulator's contents with the entries of v.
 func (a *Accumulator) SetVector(v Vector) {
+	if cap(a.entries) < len(v) {
+		a.entries = make([]Entry, 0, len(v))
+	}
 	a.entries = a.entries[:0]
 	//lint:ordered collect-then-sort: entries are sorted by node id on the next line
 	for id, s := range v {
 		a.entries = append(a.entries, Entry{Node: id, Score: s})
 	}
-	sort.Slice(a.entries, func(i, j int) bool { return a.entries[i].Node < a.entries[j].Node })
-}
-
-// SetEncoded replaces the accumulator's contents with the entries of an
-// encoded record payload (len(data) must be a multiple of EncodedEntrySize;
-// entries must be sorted by ascending node id, as written by the index).
-func (a *Accumulator) SetEncoded(data []byte) {
-	n := len(data) / EncodedEntrySize
-	if cap(a.entries) < n {
-		a.entries = make([]Entry, 0, n)
-	}
-	a.entries = a.entries[:0]
-	for i := 0; i < n; i++ {
-		id, s := EncodedEntryAt(data, i)
-		a.entries = append(a.entries, Entry{Node: id, Score: s})
-	}
+	slices.SortFunc(a.entries, func(x, y Entry) int { return cmp.Compare(x.Node, y.Node) })
 }
 
 // Sum returns the total mass, accumulating in ascending node order. Because
@@ -157,11 +187,10 @@ func (a *Accumulator) AddAccumulator(other *Accumulator) {
 // encoded hub record into the accumulator: a += scale * ext(record), where
 // ext applies the Theorem 4 self-loop correction inline — the owner hub's own
 // entry contributes (score − alpha), and is dropped entirely when the
-// corrected score falls below a small epsilon. This fuses
-// prime.ExtensionVector (which clones the prime PPV) and Vector.AddScaled
-// into one allocation-free pass over the record bytes. The per-node
-// floating-point operation is identical (old + scale*score), so results are
-// bit-equal to the map-based path.
+// corrected score falls below a small epsilon. It merges one record at a
+// time and is the sequential reference the staged path (StageEncodedExtension
+// + Combine) must match bit for bit: the per-node floating-point operation is
+// the same old + scale*score.
 func (a *Accumulator) AccumulateEncodedExtension(data []byte, scale float64, owner graph.NodeID, alpha float64) {
 	n := len(data) / EncodedEntrySize
 	if n == 0 {
@@ -196,12 +225,12 @@ func (a *Accumulator) AccumulateEncodedExtension(data []byte, scale float64, own
 // encoded hub record to the staging buffer without merging: a Step expands
 // many hubs, and merging each record into the growing increment immediately
 // costs O(|increment|) per hub. Staging is O(|record|) per hub; Combine then
-// folds everything staged with one stable sort. The owner self-loop
+// folds everything staged with one sort. The owner self-loop
 // correction is applied here, identically to AccumulateEncodedExtension.
 //
 // Callers must stage hubs in ascending owner order and call Combine before
-// reading the accumulator: the stable sort keys on node id only, so the
-// per-node contribution order (and with it bit-reproducibility against the
+// reading the accumulator: the sort keys on node id, then staging position,
+// so the per-node contribution order (and with it bit-reproducibility against the
 // sequential merge) is the staging order.
 func (a *Accumulator) StageEncodedExtension(data []byte, scale float64, owner graph.NodeID, alpha float64) {
 	n := len(data) / EncodedEntrySize
@@ -213,7 +242,7 @@ func (a *Accumulator) StageEncodedExtension(data []byte, scale float64, owner gr
 				continue
 			}
 		}
-		a.staged = append(a.staged, Entry{Node: node, Score: scale * score})
+		a.stage(node, scale*score)
 	}
 }
 
@@ -222,7 +251,7 @@ func (a *Accumulator) StageEncodedExtension(data []byte, scale float64, owner gr
 // node at most once, so the cross-hub per-node contribution order is fixed by
 // the staging order of whole hubs, not by the order within one record.
 func (a *Accumulator) StageVectorExtension(v Vector, scale float64, owner graph.NodeID, alpha float64) {
-	//lint:ordered each node occurs once per staged record; Combine stable-sorts by node id, so duplicates fold in record order, not map order
+	//lint:ordered each node occurs once per staged record; Combine sorts by node id, then staging position, so duplicates fold in record order, not map order
 	for id, s := range v {
 		if id == owner {
 			s -= alpha
@@ -230,12 +259,12 @@ func (a *Accumulator) StageVectorExtension(v Vector, scale float64, owner graph.
 				continue
 			}
 		}
-		a.staged = append(a.staged, Entry{Node: id, Score: scale * s})
+		a.stage(id, scale*s)
 	}
 }
 
 // Combine folds every staged contribution into the accumulator. Duplicated
-// nodes are summed in staging order (stable sort), which reproduces the
+// nodes are summed in staging order, which reproduces the
 // floating-point addition sequence of merging the staged hubs one at a time —
 // the bit-reproducibility contract — at O(E log E) for E staged entries
 // instead of O(hubs x |accumulator|).
@@ -243,15 +272,20 @@ func (a *Accumulator) Combine() {
 	if len(a.staged) == 0 {
 		return
 	}
-	sort.SliceStable(a.staged, func(i, j int) bool { return a.staged[i].Node < a.staged[j].Node })
+	slices.SortFunc(a.staged, func(x, y stagedEntry) int {
+		if x.node != y.node {
+			return cmp.Compare(x.node, y.node)
+		}
+		return cmp.Compare(x.seq, y.seq)
+	})
 	folded := a.tmp[:0]
-	cur := a.staged[0]
+	cur := Entry{Node: a.staged[0].node, Score: a.staged[0].score}
 	for _, e := range a.staged[1:] {
-		if e.Node == cur.Node {
-			cur.Score += e.Score
+		if e.node == cur.Node {
+			cur.Score += e.score
 		} else {
 			folded = append(folded, cur)
-			cur = e
+			cur = Entry{Node: e.node, Score: e.score}
 		}
 	}
 	folded = append(folded, cur)
@@ -274,44 +308,6 @@ func (a *Accumulator) Combine() {
 			i++
 		} else {
 			out = append(out, e)
-		}
-	}
-	out = append(out, a.entries[i:]...)
-	a.entries, a.scratch = out, a.entries
-}
-
-// AccumulateVectorExtension is AccumulateEncodedExtension for a map-based
-// prime PPV: the fallback when a hub record is only available as a decoded
-// Vector (in-memory indexes, overlay records, recompute-on-miss). The input
-// is staged and sorted into an internal buffer before the merge.
-func (a *Accumulator) AccumulateVectorExtension(v Vector, scale float64, owner graph.NodeID, alpha float64) {
-	if len(v) == 0 {
-		return
-	}
-	a.tmp = a.tmp[:0]
-	//lint:ordered collect-then-sort: tmp is sorted by node id before merging
-	for id, s := range v {
-		if id == owner {
-			s -= alpha
-			if s <= extensionEpsilon {
-				continue
-			}
-		}
-		a.tmp = append(a.tmp, Entry{Node: id, Score: s})
-	}
-	sort.Slice(a.tmp, func(i, j int) bool { return a.tmp[i].Node < a.tmp[j].Node })
-	out := a.scratch[:0]
-	i := 0
-	for _, e := range a.tmp {
-		for i < len(a.entries) && a.entries[i].Node < e.Node {
-			out = append(out, a.entries[i])
-			i++
-		}
-		if i < len(a.entries) && a.entries[i].Node == e.Node {
-			out = append(out, Entry{Node: e.Node, Score: a.entries[i].Score + scale*e.Score})
-			i++
-		} else {
-			out = append(out, Entry{Node: e.Node, Score: scale * e.Score})
 		}
 	}
 	out = append(out, a.entries[i:]...)

@@ -19,15 +19,7 @@ func randomVector(rng *rand.Rand, n, entries int) Vector {
 
 // encodeVector flattens v into the 12-byte encoded record layout, sorted by
 // ascending node id, the same layout ppvindex writes to disk.
-func encodeVector(v Vector) []byte {
-	acc := &Accumulator{}
-	acc.SetVector(v)
-	buf := make([]byte, len(v)*EncodedEntrySize)
-	for i, e := range acc.Entries() {
-		PutEncodedEntry(buf[i*EncodedEntrySize:], e.Node, e.Score)
-	}
-	return buf
-}
+func encodeVector(v Vector) []byte { return AppendEncoded(nil, v) }
 
 func TestEncodedEntryRoundTrip(t *testing.T) {
 	buf := make([]byte, 2*EncodedEntrySize)
@@ -66,17 +58,16 @@ func TestAccumulatorSetAndSum(t *testing.T) {
 		t.Fatalf("ToVector round trip distance = %v", back.L1Distance(v))
 	}
 
-	acc2 := &Accumulator{}
-	acc2.SetEncoded(encodeVector(v))
-	if acc2.ToVector().L1Distance(v) != 0 {
-		t.Fatalf("SetEncoded round trip mismatch")
+	if DecodeVector(encodeVector(v)).L1Distance(v) != 0 {
+		t.Fatalf("encoded round trip mismatch")
 	}
 }
 
 // TestAccumulatorMatchesMapPath is the core equivalence check: a randomized
-// sequence of hub-extension folds must produce bit-identical scores via the
-// flat kernel (both encoded and map inputs) and via the legacy map-based
-// clone-then-AddScaled composition.
+// sequence of hub extensions must produce bit-identical scores through the
+// two staging paths production runs — StageEncodedExtension for view-served
+// records and StageVectorExtension for decoded ones, each folded by Combine —
+// and through the map-based clone-then-AddScaled composition.
 func TestAccumulatorMatchesMapPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const alpha = 0.15
@@ -112,8 +103,10 @@ func TestAccumulatorMatchesMapPath(t *testing.T) {
 			}
 			mapRef.AddScaled(ext, scale)
 
-			accEnc.AccumulateEncodedExtension(encodeVector(hubPPV), scale, owner, alpha)
-			accMap.AccumulateVectorExtension(hubPPV, scale, owner, alpha)
+			accEnc.StageEncodedExtension(encodeVector(hubPPV), scale, owner, alpha)
+			accEnc.Combine()
+			accMap.StageVectorExtension(hubPPV, scale, owner, alpha)
+			accMap.Combine()
 		}
 
 		for _, acc := range []*Accumulator{accEnc, accMap} {
@@ -185,7 +178,7 @@ func TestAccumulatorExtensionSelfCorrection(t *testing.T) {
 func TestAccumulatorResetReuse(t *testing.T) {
 	acc := &Accumulator{}
 	acc.SetVector(Vector{1: 1, 2: 2})
-	acc.AccumulateVectorExtension(Vector{3: 3}, 1, 99, 0.15)
+	acc.StageVectorExtension(Vector{3: 3}, 1, 99, 0.15)
 	acc.Reset()
 	if acc.Len() != 0 || acc.Sum() != 0 {
 		t.Fatalf("Reset left entries behind: len=%d sum=%v", acc.Len(), acc.Sum())

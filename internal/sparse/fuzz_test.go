@@ -8,10 +8,10 @@ import (
 )
 
 // FuzzEncodedRoundTrip drives the flat (node, score) entry encoding shared
-// with the disk-index record format. The input bytes are chopped into
-// entries (duplicate ids collapse through the map, as they do on a real
-// decode), canonicalized through an Accumulator, encoded, and decoded again:
-// the canonical form must round-trip bit-for-bit.
+// with the disk-index record format. The input bytes are decoded (duplicate
+// ids collapse through the map, as they do on a real decode), encoded again
+// and decoded once more: the encoding must be strictly ascending by node and
+// the vector must round-trip bit-for-bit.
 func FuzzEncodedRoundTrip(f *testing.F) {
 	seed := make([]byte, 2*EncodedEntrySize)
 	PutEncodedEntry(seed, 3, 0.5)
@@ -19,37 +19,30 @@ func FuzzEncodedRoundTrip(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n := len(data) / EncodedEntrySize
-		v := New(n)
-		for i := 0; i < n; i++ {
-			id, s := EncodedEntryAt(data[:n*EncodedEntrySize], i)
-			v[id] = s
+		v := DecodeVector(data)
+		enc := AppendEncoded(nil, v)
+		if len(enc) != len(v)*EncodedEntrySize {
+			t.Fatalf("encoded %d entries into %d bytes", len(v), len(enc))
 		}
-		var a Accumulator
-		a.SetVector(v)
-		if a.Len() != len(v) {
-			t.Fatalf("SetVector kept %d of %d entries", a.Len(), len(v))
-		}
-		enc := make([]byte, a.Len()*EncodedEntrySize)
-		for i, e := range a.Entries() {
-			PutEncodedEntry(enc[i*EncodedEntrySize:], e.Node, e.Score)
-		}
-		var b Accumulator
-		b.SetEncoded(enc)
-		if b.Len() != a.Len() {
-			t.Fatalf("SetEncoded kept %d of %d entries", b.Len(), a.Len())
-		}
-		be := b.Entries()
 		var prev graph.NodeID
-		for i, e := range a.Entries() {
-			if be[i].Node != e.Node || math.Float64bits(be[i].Score) != math.Float64bits(e.Score) {
-				t.Fatalf("entry %d: (%d, %x) round-tripped to (%d, %x)",
-					i, e.Node, math.Float64bits(e.Score), be[i].Node, math.Float64bits(be[i].Score))
+		for i := 0; i < len(v); i++ {
+			id, s := EncodedEntryAt(enc, i)
+			if math.Float64bits(s) != math.Float64bits(v[id]) {
+				t.Fatalf("entry %d: node %d encoded as %x, want %x", i, id, math.Float64bits(s), math.Float64bits(v[id]))
 			}
-			if i > 0 && e.Node <= prev {
-				t.Fatalf("canonical entries not strictly ascending at %d: %d after %d", i, e.Node, prev)
+			if i > 0 && id <= prev {
+				t.Fatalf("encoded entries not strictly ascending at %d: %d after %d", i, id, prev)
 			}
-			prev = e.Node
+			prev = id
+		}
+		back := DecodeVector(enc)
+		if len(back) != len(v) {
+			t.Fatalf("decoded %d of %d entries", len(back), len(v))
+		}
+		for id, s := range v {
+			if math.Float64bits(back[id]) != math.Float64bits(s) {
+				t.Fatalf("node %d: %x round-tripped to %x", id, math.Float64bits(s), math.Float64bits(back[id]))
+			}
 		}
 	})
 }

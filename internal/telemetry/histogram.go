@@ -12,9 +12,8 @@ import (
 // deliberately wide at both ends — at tiny benchmark scale warm cache hits
 // land well under 100µs and everything past the top bound collapses into the
 // +Inf bucket, clamping the reported p99 at the last finite edge, so the
-// bottom reaches 10µs and the top 60s. Families with a tighter known range
-// can pass their own layout (server.Config.LatencyBuckets,
-// cluster.RouterConfig.LegLatencyBuckets).
+// bottom reaches 10µs and the top 60s. The server's HTTP latency family and
+// the router's shard-leg family both use it.
 var DefLatencyBuckets = []float64{
 	0.00001, 0.000025, 0.00005,
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
